@@ -410,103 +410,18 @@ def _dedup_bucket(group: pa.Table) -> pa.Table:
     return t.take(pa.array(np.nonzero(keep)[0]))
 
 
-def _multikey_bitmap_agg(log2_bits: int):
-    """Global AggregateFn building a counting-bloom over ``key_hash``: the
-    finalized bitmap has a bit set for every key that MAY occur ≥2 times.
-
-    Soundness (the direction that matters): a key occurring ≥2 times ALWAYS
-    sets its multi bit — its second insert finds the seen bit already set
-    (same block: unique-counts ≥2; across blocks: the merge ORs in
-    ``seen_a & seen_b``). False positives (a singleton sharing a bit with
-    another key) only pass extra 1-member runs through the shuffle, which
-    emit no pairs — the candidate-pair output is bit-identical with or
-    without the filter. Accumulators are two fixed-size byte arrays
-    (2^log2_bits bits each), merged associatively (saturating-2-counter
-    semiring), so the aggregate is a map-side fold + small tree reduce —
-    no shuffle, no driver row pull."""
-    from ray.data.aggregate import AggregateFn
-
-    m = 1 << log2_bits
-    nbytes = m >> 3
-
-    # accumulators travel as (bytes, bytes) — Ray round-trips AggregateFn
-    # state through Arrow blocks, which would explode a numpy array into a
-    # Python list; binary scalars stay zero-copy-ish
-    def init(_k):
-        z = bytes(nbytes)
-        return (z, z)
-
-    def fold(acc, block: pa.Table):
-        seen = np.frombuffer(acc[0], np.uint8).copy()
-        multi = np.frombuffer(acc[1], np.uint8).copy()
-        kh = block.column("key_hash").to_numpy(zero_copy_only=False)
-        idx = (kh.astype(np.uint64, copy=False) & np.uint64(m - 1)).astype(np.int64)
-        u, cnt = np.unique(idx, return_counts=True)
-        byte = u >> 3
-        bit = np.left_shift(np.uint8(1), (u & 7).astype(np.uint8), dtype=np.uint8)
-        dup = ((seen[byte] & bit) != 0) | (cnt >= 2)
-        np.bitwise_or.at(multi, byte[dup], bit[dup])
-        np.bitwise_or.at(seen, byte, bit)
-        return (seen.tobytes(), multi.tobytes())
-
-    def merge(a, b):
-        sa = np.frombuffer(a[0], np.uint8)
-        sb = np.frombuffer(b[0], np.uint8)
-        ma = np.frombuffer(a[1], np.uint8)
-        mb = np.frombuffer(b[1], np.uint8)
-        return ((sa | sb).tobytes(), (ma | mb | (sa & sb)).tobytes())
-
-    return AggregateFn(
-        init=init,
-        merge=merge,
-        accumulate_block=fold,
-        finalize=lambda a: a[1],  # only the multi bitmap leaves the reduce
-        name="multikey_bitmap",
-    )
-
-
 def candidate_pairs_raw(
     flat_ds: "ray.data.Dataset",
     predicate_ids: list[str],
     max_block_size: int = 1024,
     map_batch_size: int = 8192,
     index_tables: dict | None = None,
-    singleton_filter: bool | str = False,
-    bitmap_log2_bits: int = 27,
 ) -> "ray.data.Dataset":
     """Block-key explode + per-bucket pair emission, NOT yet deduped:
     rows (id_a, id_b, oversized, pbucket) where oversized==1 rows are
     dropped-block markers. Checkpointable as ONE artifact so both the
     deduped pairs and the oversized count derive from it without
-    re-running the blocking pass.
-
-    ``singleton_filter``: most exploded rows carry a block key that occurs
-    exactly once in the whole corpus (measured 84% on the 800k bench
-    corpus) and can never produce a pair. A counting-bloom pass
-    (:func:`_multikey_bitmap_agg`) marks possibly-repeated keys, and only
-    those rows enter the all-to-all groupby — a ~5× cut of the sort input
-    (the exploded dataset is materialized once so the explode kernels run
-    once, not twice; the pair output is bit-identical either way — bloom
-    false positives keep extra singleton rows, which emit nothing).
-
-    Default OFF because it does not pay on a single node: measured at 800k
-    docs / 32 CPUs the full pair path is 13.3 s without vs 27.7 s with
-    (the sort's remote work is ~1 s here — in-memory shuffles are cheap,
-    while the bitmap partials cost n_blocks × 32 MiB of memcpy). It is a
-    SHUFFLE-BYTE lever whose crossover the round-5 spill rehearsal went
-    looking for and did NOT find on this hardware: at 2M docs with a
-    0.8 GB object store (the sort genuinely spilling — 0.6–1.2 GB,
-    120+ spill requests) OFF ran 31 s while ``True`` ran 83–122 s (its
-    materialize() pushes the ENTIRE exploded set through the already-full
-    store: 4.5 GB spilled) and ``"recompute"`` — which streams the explode
-    twice and never materializes — ran 86 s at 2^27 bitmap bits and 55 s
-    at 2^24: the bitmap aggregate's per-block partial memcpy dominates
-    everything the ~5× sort-input cut saves while spill write throughput
-    is ≥ ~50 MiB/s. Default stays OFF; reach for ``"recompute"`` (never
-    ``True``) only when shuffle spill I/O is the measured bottleneck —
-    e.g. object-store-to-disk bandwidth an order slower than here. Size
-    ``bitmap_log2_bits`` to ~16× the expected distinct-key count
-    (2^27 bits = 16 MiB handles ~10⁷ keys at <10% false-positive rate)."""
+    re-running the blocking pass."""
     blocked = flat_ds.map_batches(
         make_block_explode_stage(
             predicate_ids, with_bucket=True, index_tables=index_tables, key_hash=True
@@ -514,27 +429,6 @@ def candidate_pairs_raw(
         batch_format="pyarrow",
         batch_size=map_batch_size,
     )
-    if singleton_filter:
-        if singleton_filter != "recompute":
-            # materialize so the explode kernels run once for both the
-            # bitmap pass and the filtered sort — the right call while the
-            # exploded set fits the object store
-            blocked = blocked.materialize()
-        multi = blocked.aggregate(_multikey_bitmap_agg(bitmap_log2_bits))[
-            "multikey_bitmap"
-        ]
-        if multi is not None:
-            mref = ray.put(np.frombuffer(multi, np.uint8))
-            mask64 = np.uint64((1 << bitmap_log2_bits) - 1)
-
-            def _keep_multi(batch: pa.Table) -> pa.Table:
-                bm = ray.get(mref)
-                kh = batch.column("key_hash").to_numpy(zero_copy_only=False)
-                idx = (kh.astype(np.uint64, copy=False) & mask64).astype(np.int64)
-                keep = (bm[idx >> 3] >> (idx & 7).astype(np.uint8)) & 1
-                return batch.filter(pa.array(keep.astype(bool)))
-
-            blocked = blocked.map_batches(_keep_multi, batch_format="pyarrow")
     return blocked.groupby("bucket").map_groups(
         make_bucket_pair_emit_fn(max_block_size, key_col="key_hash"),
         batch_format="pyarrow",

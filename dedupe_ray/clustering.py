@@ -3,9 +3,11 @@
 Re-creates [lib: dedupe/clustering.py] (driven by ``partition`` at
 backend/dedupe_script.py:360):
 
-- connected components over thresholded scored edges, with giant-component
-  splitting (max_component_size ≈ dedupe's max_components=30000): oversized
-  components re-threshold their weakest edges until they break up.
+- connected components over thresholded scored edges. A component larger
+  than ``max_component_size`` (default 1,500) is split before HAC by one
+  recursive rule on both CC paths: drop its weakest quartile of edges,
+  re-run connected components inside it, and recurse on each piece
+  (dedupe's max_components edge-dropping, without an n×n matrix).
 - per-component hierarchical clustering, centroid linkage (fastcluster
   ``method='centroid'`` semantics via Lance–Williams updates on squared
   distances), flat cut at distance ``1 − threshold`` (``fcluster
@@ -16,7 +18,7 @@ backend/dedupe_script.py:360):
   pattern in backend/test_response.py:1 (pair members share one confidence,
   larger clusters differ per member).
 
-Scale design: components after thresholding are tiny (dedupe splits at 30k),
+Scale design: components after splitting are small (≤ max_component_size),
 so HAC runs inside ``groupby(component_id).map_groups`` in numpy. Connected
 components itself has two paths:
 
@@ -36,6 +38,7 @@ import pyarrow as pa
 
 import ray.data
 
+from dedupe_ray.config import EngineConfig
 
 # ---------------------------------------------------------------------------
 # Union-find (driver path + per-component utilities)
@@ -339,45 +342,6 @@ def _components_distributed(
 
 
 # ---------------------------------------------------------------------------
-# Giant-component splitting ([lib] max_components semantics)
-# ---------------------------------------------------------------------------
-
-
-def split_giant_components(
-    edges: pd.DataFrame, comp_of: dict[str, str], max_size: int
-) -> dict[str, str]:
-    """Driver-side refinement: for components larger than max_size, drop the
-    weakest edges (raise the score floor to the component's score median,
-    repeatedly) and re-run union-find inside the component."""
-    from collections import Counter
-
-    sizes = Counter(comp_of.values())
-    big = {c for c, s in sizes.items() if s > max_size}
-    if not big:
-        return comp_of
-    out = dict(comp_of)
-    for comp in big:
-        sub = edges[
-            edges["id_a"].map(comp_of).eq(comp) & edges["id_b"].map(comp_of).eq(comp)
-        ].copy()
-        floor = float(np.median(sub["score"]))
-        for _ in range(20):
-            sub = sub[sub["score"] > floor]
-            uf = UnionFind()
-            for a, b in zip(sub["id_a"], sub["id_b"]):
-                uf.union(a, b)
-            local = {n: uf.find(n) for n in uf.parent}
-            c2 = Counter(local.values())
-            if not c2 or max(c2.values()) <= max_size:
-                for n in out:
-                    if out[n] == comp:
-                        out[n] = local.get(n, n)  # unmerged nodes become singletons
-                break
-            floor = float(np.median(sub["score"]))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Per-component HAC (centroid linkage) + confidences
 # ---------------------------------------------------------------------------
 
@@ -457,16 +421,12 @@ def centroid_hac_cut(dist: np.ndarray, t: float) -> np.ndarray:
     return labels
 
 
-_HAC_LIMIT = 1500  # full-matrix centroid HAC is O(n²) memory / O(n³) time;
-# beyond this a component is split by score before HAC (dedupe's
-# max_components edge-dropping, applied recursively in-group)
-
-
 def _cluster_component_arrays(
     ia: np.ndarray,
     ib: np.ndarray,
     sc: np.ndarray,
     threshold: float,
+    max_size: int,
     out: list,
 ) -> None:
     """Array core of :func:`cluster_component`: edges of ONE component →
@@ -476,10 +436,12 @@ def _cluster_component_arrays(
     byte-determinism test pins this."""
     ids = np.unique(np.concatenate([ia, ib]))
     n = len(ids)
-    if n > _HAC_LIMIT:
-        # recursive split: drop the weakest quartile of edges, re-component,
-        # recurse — mirrors [lib: dedupe/clustering.py] giant-component
-        # handling without materializing an n×n matrix
+    if n > max_size:
+        # giant-component split, the same on both CC paths (full-matrix
+        # centroid HAC is O(n²) memory / O(n³) time): drop the weakest
+        # quartile of edges, re-component, recurse — mirrors [lib:
+        # dedupe/clustering.py] max_components handling without
+        # materializing an n×n matrix
         floor = float(np.quantile(sc, 0.25))
         keep = sc > floor
         if keep.all():  # degenerate (all scores equal): midpoint cut
@@ -496,7 +458,9 @@ def _cluster_component_arrays(
         ra, rb, rs, rr = ka[order], kb[order], ks[order], roots[order]
         heads = np.flatnonzero(np.r_[True, rr[1:] != rr[:-1]])
         for s0, s1 in zip(heads, np.append(heads[1:], len(rr))):
-            _cluster_component_arrays(ra[s0:s1], rb[s0:s1], rs[s0:s1], threshold, out)
+            _cluster_component_arrays(
+                ra[s0:s1], rb[s0:s1], rs[s0:s1], threshold, max_size, out
+            )
         return
     if n == 2:
         conf = np.float32(float(sc.max()))
@@ -538,7 +502,11 @@ def _assemble_cluster_frames(out: list) -> pd.DataFrame:
     )
 
 
-def cluster_component(group: pd.DataFrame, threshold: float) -> pd.DataFrame:
+def cluster_component(
+    group: pd.DataFrame,
+    threshold: float,
+    max_component_size: int = EngineConfig.max_component_size,
+) -> pd.DataFrame:
     """Edges of ONE component → (doc_id, cluster_id, confidence_score) rows.
 
     cluster_id is the min doc_id of the flat cluster. Singletons are dropped
@@ -549,6 +517,7 @@ def cluster_component(group: pd.DataFrame, threshold: float) -> pd.DataFrame:
         group["id_b"].to_numpy(object),
         group["score"].to_numpy(),
         threshold,
+        max_component_size,
         out,
     )
     return _assemble_cluster_frames(out)
@@ -558,7 +527,7 @@ def cluster_edges(
     scored_edges: "ray.data.Dataset",
     threshold: float,
     driver_edge_limit: int = 5_000_000,
-    max_component_size: int = 30_000,
+    max_component_size: int = EngineConfig.max_component_size,
     cc_mode: str = "auto",
 ) -> "ray.data.Dataset":
     """Scored, thresholded edges → cluster membership Dataset
@@ -585,31 +554,22 @@ def cluster_edges(
 
     use_driver = cc_mode == "driver" or (cc_mode == "auto" and n_edges <= driver_edge_limit)
     if use_driver:
-        edges_pd = scored_edges.to_pandas()
-        comp_of = _components_driver(pa.Table.from_pandas(edges_pd[["id_a", "id_b"]]))
-        comp_of = split_giant_components(edges_pd, comp_of, max_component_size)
+        comp_of = _components_driver(
+            pa.Table.from_pandas(scored_edges.select_columns(["id_a", "id_b"]).to_pandas())
+        )
         # broadcast as a Series so annotate's lookup is a vectorized hash
-        # join (Series.map), not a per-row dict loop
+        # join (Series.map), not a per-row dict loop; the map covers every
+        # edge endpoint, and both endpoints share one component
         comp_ref = ray.put(pd.Series(comp_of, dtype=object))
 
         def annotate(batch: pa.Table) -> pa.Table:
-            mser = ray.get(comp_ref)
             a = pd.Series(batch.column("id_a").to_numpy(zero_copy_only=False))
-            b = pd.Series(batch.column("id_b").to_numpy(zero_copy_only=False))
-            ca = a.map(mser).where(lambda s: s.notna(), a)
-            cb = b.map(mser).where(lambda s: s.notna(), b)
-            # edges straddling a giant-component split are dropped
-            keep = pa.array((ca.to_numpy(object) == cb.to_numpy(object)))
-            out = batch.append_column(
-                "component_id", pa.array(ca.to_numpy(object), pa.string())
-            )
-            out = out.append_column(
+            ca = a.map(ray.get(comp_ref)).to_numpy(object)
+            out = batch.append_column("component_id", pa.array(ca, pa.string()))
+            return out.append_column(
                 "cbucket",
-                pa.array(
-                    (pd.util.hash_array(ca.to_numpy(object)) % N_CBUCKETS).astype(np.int32)
-                ),
+                pa.array((pd.util.hash_array(ca) % N_CBUCKETS).astype(np.int32)),
             )
-            return out.filter(keep)
 
         edges_with_comp = scored_edges.map_batches(annotate, batch_format="pyarrow")
     else:
@@ -681,7 +641,7 @@ def cluster_edges(
             triples: list = []
             for s0, s1 in zip(heads, np.append(heads[1:], len(oc))):
                 _cluster_component_arrays(
-                    ia[s0:s1], ib[s0:s1], sc[s0:s1], threshold, triples
+                    ia[s0:s1], ib[s0:s1], sc[s0:s1], threshold, max_component_size, triples
                 )
             outs.append(_assemble_cluster_frames(triples))
         if not outs:

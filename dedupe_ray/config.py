@@ -102,20 +102,23 @@ class EngineConfig:
     max_block_size: int = 1024
     # Records-side broadcast join limit: below this row count the record table
     # is ray.put() once (shared-memory Arrow) and looked up map-side; above
-    # it, Dataset.join hash-joins. Short-string entity records are ~200 B/row
-    # → 2M rows ≈ 400 MB in the object store, comfortably broadcastable on a
-    # production node; the shuffle join is the 10⁹+-row path.
+    # it, two bucketed_lookup_joins (one per pair side) attach the records.
+    # Short-string entity records are ~200 B/row → 2M rows ≈ 400 MB in the
+    # object store, comfortably broadcastable on a production node; the
+    # bucketed join is the 10⁹+-row path.
     broadcast_record_limit: int = 2_000_000
     # Connected components: below this edge count a driver-side union-find is
     # exact and fast; above it, distributed min-label propagation runs.
     cc_driver_edge_limit: int = 5_000_000
-    # dedupe's max_components analogue: split components larger than this by
-    # re-thresholding their weakest edges ([lib: dedupe/clustering.py]).
-    max_component_size: int = 30_000
+    # dedupe's max_components analogue and the full-matrix HAC bound: a
+    # component larger than this is split before HAC by dropping its weakest
+    # quartile of edges and recursing on the pieces, the same way on both CC
+    # paths ([lib: dedupe/clustering.py]). HAC costs O(n²) memory per
+    # component, which is why the default is far below dedupe's 30,000.
+    max_component_size: int = 1_500
     # Scoring stage batch size (distance kernels are batched DPs — bigger
     # batches amortize per-task overhead; memory per batch is tiny).
     score_batch_size: int = 16384
-    score_concurrency: int = 8
     # Block-explode / preprocess batch size.
     map_batch_size: int = 8192
     # L2 regularization strength for the pairwise logistic classifier

@@ -10,9 +10,13 @@ vectorized ``pyarrow.compute.index_in``. The group count is bounded by
 a hash join without per-key groups; hot keys spread only as far as their
 bucket, which is acceptable for lookup-style right sides (unique keys ⇒
 bucket payload is bounded by the key distribution of the LEFT side).
+The lookup, range and as-of joins share that skeleton
+(:func:`_bucketed_join`) and differ only in how a bucket is resolved.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -42,6 +46,103 @@ def _pa_type(t) -> pa.DataType:
         return pa.string()
 
 
+def _bucketed_join(
+    left_ds: "ray.data.Dataset",
+    right_ds: "ray.data.Dataset",
+    left_key: str,
+    right_key: str,
+    right_value_cols: list[str],
+    n_buckets: int,
+    resolve: Callable[[pa.Table, pa.Table], pa.Table],
+    ts: tuple[str, str] | None = None,
+) -> "ray.data.Dataset":
+    """The shared join skeleton. Every row of both sides is padded to the
+    output schema (left columns, then ``right_value_cols``) with typed
+    nulls; right rows carry their key, and with ``ts=(left_ts, right_ts)``
+    their timestamp, under the LEFT column names, cast to the left types.
+    The sides are tagged with a key-hash bucket, unioned and grouped by
+    bucket, and ``resolve(left_rows, right_rows)`` turns each bucket's two
+    output-schema tables into output rows. With ``ts``, rows whose key or
+    timestamp is null are dropped (they never match).
+
+    Both inputs are materialized first: reading the schema of a lazy
+    Dataset starts a ``limit=1`` execution of its whole upstream plan
+    (which the join then runs again), while on a materialized one it is a
+    metadata read."""
+    left_ds = left_ds.materialize()
+    right_ds = right_ds.materialize()
+    left_schema = left_ds.schema()
+    left_names = list(left_schema.names)
+    left_types = {n: _pa_type(t) for n, t in zip(left_schema.names, left_schema.types)}
+    right_schema = right_ds.schema()
+    right_types = {n: _pa_type(t) for n, t in zip(right_schema.names, right_schema.types)}
+    overlap = set(right_value_cols) & set(left_names)
+    if overlap:
+        raise ValueError(f"right_value_cols collide with left columns: {sorted(overlap)}")
+    out_names = left_names + list(right_value_cols)
+    # left column → the right column whose values right rows carry in it
+    carried = {left_key: right_key, **({ts[0]: ts[1]} if ts else {})}
+
+    def valid(t: pa.Table, key: str, side: int) -> pa.Table:
+        if ts is None:
+            return t
+        return t.filter(pc.and_(pc.is_valid(t.column(key)), pc.is_valid(t.column(ts[side]))))
+
+    def tagged(data: dict, is_right: bool) -> pa.Table:
+        key = data[left_key]
+        data[_BKT] = _bucket_col(key, n_buckets)
+        data[_SIDE] = pa.array(np.full(len(key), is_right))
+        return pa.table(data)
+
+    def tag_left(t: pa.Table) -> pa.Table:
+        t = valid(t, left_key, 0)
+        data = {n: t.column(n) for n in left_names}
+        for c in right_value_cols:
+            data[c] = pa.nulls(len(t), right_types[c])
+        return tagged(data, False)
+
+    def tag_right(t: pa.Table) -> pa.Table:
+        t = valid(t, right_key, 1)
+        data = {
+            n: pc.cast(t.column(carried[n]), left_types[n])
+            if n in carried
+            else pa.nulls(len(t), left_types[n])
+            for n in left_names
+        }
+        for c in right_value_cols:
+            data[c] = t.column(c)
+        return tagged(data, True)
+
+    def per_bucket(t: pa.Table) -> pa.Table:
+        side = t.column(_SIDE).to_numpy(zero_copy_only=False)
+        t = t.select(out_names)
+        return resolve(t.filter(pa.array(~side)), t.filter(pa.array(side)))
+
+    both = left_ds.map_batches(tag_left, batch_format="pyarrow").union(
+        right_ds.map_batches(tag_right, batch_format="pyarrow")
+    )
+    return both.groupby(_BKT).map_groups(per_bucket, batch_format="pyarrow")
+
+
+def _take_right(rows: pa.Table, rhs: pa.Table, idx, cols: list[str]) -> pa.Table:
+    """``rows`` with each right-value column in ``cols`` replaced by
+    ``rhs[c]`` taken at ``idx`` (a null index yields null)."""
+    for c in cols:
+        rows = rows.set_column(rows.schema.get_field_index(c), c, pc.take(rhs.column(c), idx))
+    return rows
+
+
+def _key_codes(lhs: pa.Table, rhs: pa.Table, key: str) -> np.ndarray:
+    """Grouping-only integer codes of ``key`` over left rows then right rows."""
+    keys = np.concatenate(
+        [
+            lhs.column(key).to_numpy(zero_copy_only=False),
+            rhs.column(key).to_numpy(zero_copy_only=False),
+        ]
+    )
+    return pd.factorize(keys)[0]
+
+
 def bucketed_lookup_join(
     left_ds: "ray.data.Dataset",
     right_ds: "ray.data.Dataset",
@@ -65,76 +166,28 @@ def bucketed_lookup_join(
     """
     if how not in ("inner", "left", "full"):
         raise ValueError(f"how must be 'inner', 'left' or 'full', got {how!r}")
-    left_schema = left_ds.schema()
-    left_names = list(left_schema.names)
-    left_types = {n: _pa_type(t) for n, t in zip(left_schema.names, left_schema.types)}
-    right_schema = right_ds.schema()
-    right_types = {n: _pa_type(t) for n, t in zip(right_schema.names, right_schema.types)}
-    overlap = set(right_value_cols) & set(left_names)
-    if overlap:
-        raise ValueError(f"right_value_cols collide with left columns: {sorted(overlap)}")
-    key_type = left_types[left_key]
-    out_names = left_names + list(right_value_cols)
 
-    def tag_left(t: pa.Table) -> pa.Table:
-        data = {n: t.column(n) for n in left_names}
-        for c in right_value_cols:
-            data[c] = pa.nulls(len(t), right_types[c])
-        data[_BKT] = _bucket_col(t.column(left_key), n_buckets)
-        data[_SIDE] = pa.array(np.zeros(len(t), bool))
-        return pa.table(data)
-
-    def tag_right(t: pa.Table) -> pa.Table:
-        key = pc.cast(t.column(right_key), key_type)
-        data: dict = {}
-        for n in left_names:
-            data[n] = key if n == left_key else pa.nulls(len(t), left_types[n])
-        for c in right_value_cols:
-            data[c] = t.column(c)
-        data[_BKT] = _bucket_col(key, n_buckets)
-        data[_SIDE] = pa.array(np.ones(len(t), bool))
-        return pa.table(data)
-
-    def resolve(t: pa.Table) -> pa.Table:
-        rhs = t.filter(t.column(_SIDE))
-        lhs = t.filter(pc.invert(t.column(_SIDE)))
-        empty = pa.table(
-            {n: pa.array([], left_types.get(n) or right_types[n]) for n in out_names}
-        )
+    def resolve(lhs: pa.Table, rhs: pa.Table) -> pa.Table:
         if len(lhs) == 0:
-            return rhs.select(out_names) if how == "full" else empty
+            return rhs if how == "full" else lhs
         if len(rhs) == 0:
-            if how == "inner":
-                return empty
             # left rows already carry typed nulls for the right columns
-            return lhs.select(out_names)
+            return lhs.slice(0, 0) if how == "inner" else lhs
         idx = pc.index_in(lhs.column(left_key), value_set=rhs.column(left_key).combine_chunks())
-        if how in ("left", "full"):
-            data = {n: lhs.column(n) for n in left_names}
-            for c in right_value_cols:
-                # take with a null index yields null — misses stay NULL
-                data[c] = pc.take(rhs.column(c), idx)
-            out = pa.table(data)
-            if how == "left":
-                return out
-            # full: append right rows whose key matched no left row
-            ridx = pc.index_in(
-                rhs.column(left_key), value_set=lhs.column(left_key).combine_chunks()
-            )
-            r_only = rhs.filter(pc.is_null(ridx)).select(out_names)
-            return pa.concat_tables([out.select(out_names), r_only])
-        valid = pc.is_valid(idx)
-        hit = lhs.filter(valid)
-        idx_v = idx.filter(valid)
-        data = {n: hit.column(n) for n in left_names}
-        for c in right_value_cols:
-            data[c] = pc.take(rhs.column(c), idx_v)
-        return pa.table(data)
+        if how == "inner":
+            hit = pc.is_valid(idx)
+            return _take_right(lhs.filter(hit), rhs, idx.filter(hit), right_value_cols)
+        # take with a null index yields null — misses stay NULL
+        out = _take_right(lhs, rhs, idx, right_value_cols)
+        if how == "left":
+            return out
+        # full: append right rows whose key matched no left row
+        ridx = pc.index_in(rhs.column(left_key), value_set=lhs.column(left_key).combine_chunks())
+        return pa.concat_tables([out, rhs.filter(pc.is_null(ridx))])
 
-    both = left_ds.map_batches(tag_left, batch_format="pyarrow").union(
-        right_ds.map_batches(tag_right, batch_format="pyarrow")
+    return _bucketed_join(
+        left_ds, right_ds, left_key, right_key, right_value_cols, n_buckets, resolve
     )
-    return both.groupby(_BKT).map_groups(resolve, batch_format="pyarrow")
 
 
 def range_match_counts(
@@ -198,67 +251,12 @@ def bucketed_range_join(
     the probe is :func:`range_match_counts` + a repeat/cumsum expansion
     (the candidate-pair emission trick), all numpy.
     """
-    left_schema = left_ds.schema()
-    left_names = list(left_schema.names)
-    left_types = {n: _pa_type(t) for n, t in zip(left_schema.names, left_schema.types)}
-    right_schema = right_ds.schema()
-    right_types = {n: _pa_type(t) for n, t in zip(right_schema.names, right_schema.types)}
-    overlap = set(right_value_cols) & set(left_names)
-    if overlap:
-        raise ValueError(f"right_value_cols collide with left columns: {sorted(overlap)}")
-    key_type = left_types[left_key]
-    ts_type = left_types[left_ts]
-    out_names = left_names + list(right_value_cols)
-    rv_types = {c: right_types[c] for c in right_value_cols}
 
-    def _empty() -> pa.Table:
-        return pa.table(
-            {n: pa.array([], left_types.get(n) or rv_types[n]) for n in out_names}
-        )
-
-    def tag_left(t: pa.Table) -> pa.Table:
-        mask = pc.and_(pc.is_valid(t.column(left_key)), pc.is_valid(t.column(left_ts)))
-        t = t.filter(mask)
-        data = {n: t.column(n) for n in left_names}
-        for c in right_value_cols:
-            data[c] = pa.nulls(len(t), rv_types[c])
-        data[_BKT] = _bucket_col(t.column(left_key), n_buckets)
-        data[_SIDE] = pa.array(np.zeros(len(t), bool))
-        return pa.table(data)
-
-    def tag_right(t: pa.Table) -> pa.Table:
-        mask = pc.and_(pc.is_valid(t.column(right_key)), pc.is_valid(t.column(right_ts)))
-        t = t.filter(mask)
-        key = pc.cast(t.column(right_key), key_type)
-        ts = pc.cast(t.column(right_ts), ts_type)
-        data: dict = {}
-        for n in left_names:
-            if n == left_key:
-                data[n] = key
-            elif n == left_ts:
-                data[n] = ts
-            else:
-                data[n] = pa.nulls(len(t), left_types[n])
-        for c in right_value_cols:
-            data[c] = t.column(c)
-        data[_BKT] = _bucket_col(key, n_buckets)
-        data[_SIDE] = pa.array(np.ones(len(t), bool))
-        return pa.table(data)
-
-    def resolve(t: pa.Table) -> pa.Table:
-        side = t.column(_SIDE).to_numpy(zero_copy_only=False)
-        rhs = t.filter(pa.array(side))
-        lhs = t.filter(pa.array(~side))
-        n_l, n_r = len(lhs), len(rhs)
-        if n_l == 0 or n_r == 0:
-            return _empty()
-        keys = np.concatenate(
-            [
-                lhs.column(left_key).to_numpy(zero_copy_only=False),
-                rhs.column(left_key).to_numpy(zero_copy_only=False),
-            ]
-        )
-        codes, _ = pd.factorize(keys)
+    def resolve(lhs: pa.Table, rhs: pa.Table) -> pa.Table:
+        n_l = len(lhs)
+        if n_l == 0 or len(rhs) == 0:
+            return lhs.slice(0, 0)
+        codes = _key_codes(lhs, rhs, left_key)
         l_ts = lhs.column(left_ts).to_numpy(zero_copy_only=False)
         r_ts = rhs.column(left_ts).to_numpy(zero_copy_only=False)
         r_order, lo_idx, counts = range_match_counts(
@@ -266,22 +264,19 @@ def bucketed_range_join(
         )
         total = int(counts.sum())
         if total == 0:
-            return _empty()
+            return lhs.slice(0, 0)
         a_idx = np.repeat(np.arange(n_l), counts)
         cum = np.concatenate(([0], np.cumsum(counts)))[:-1]
         off = np.arange(total, dtype=np.int64) - np.repeat(cum, counts)
-        b_pos = np.repeat(lo_idx, counts) + off
-        b_idx = r_order[b_pos]
-        hit = lhs.take(pa.array(a_idx))
-        data = {nm: hit.column(nm) for nm in left_names}
-        for c in right_value_cols:
-            data[c] = pc.take(rhs.column(c), pa.array(b_idx))
-        return pa.table(data)
+        b_idx = r_order[np.repeat(lo_idx, counts) + off]
+        return _take_right(
+            lhs.take(pa.array(a_idx)), rhs, pa.array(b_idx), right_value_cols
+        )
 
-    both = left_ds.map_batches(tag_left, batch_format="pyarrow").union(
-        right_ds.map_batches(tag_right, batch_format="pyarrow")
+    return _bucketed_join(
+        left_ds, right_ds, left_key, right_key, right_value_cols, n_buckets, resolve,
+        ts=(left_ts, right_ts),
     )
-    return both.groupby(_BKT).map_groups(resolve, batch_format="pyarrow")
 
 
 def bucketed_asof_join(
@@ -317,72 +312,15 @@ def bucketed_asof_join(
     (pre-aggregate duplicates first); with duplicates the winner depends
     on partition order. Null keys/timestamps never match.
     """
-    left_schema = left_ds.schema()
-    left_names = list(left_schema.names)
-    left_types = {n: _pa_type(t) for n, t in zip(left_schema.names, left_schema.types)}
-    right_schema = right_ds.schema()
-    right_types = {n: _pa_type(t) for n, t in zip(right_schema.names, right_schema.types)}
-    overlap = set(right_value_cols) & set(left_names)
-    if overlap:
-        raise ValueError(f"right_value_cols collide with left columns: {sorted(overlap)}")
-    key_type = left_types[left_key]
-    ts_type = left_types[left_ts]
-    out_names = left_names + list(right_value_cols)
-    rv_types = {c: right_types[c] for c in right_value_cols}
 
-    def _empty() -> pa.Table:
-        return pa.table(
-            {n: pa.array([], left_types.get(n) or rv_types[n]) for n in out_names}
-        )
-
-    def tag_left(t: pa.Table) -> pa.Table:
-        mask = pc.and_(pc.is_valid(t.column(left_key)), pc.is_valid(t.column(left_ts)))
-        t = t.filter(mask)
-        data = {n: t.column(n) for n in left_names}
-        for c in right_value_cols:
-            data[c] = pa.nulls(len(t), rv_types[c])
-        data[_BKT] = _bucket_col(t.column(left_key), n_buckets)
-        data[_SIDE] = pa.array(np.zeros(len(t), bool))
-        return pa.table(data)
-
-    def tag_right(t: pa.Table) -> pa.Table:
-        mask = pc.and_(pc.is_valid(t.column(right_key)), pc.is_valid(t.column(right_ts)))
-        t = t.filter(mask)
-        key = pc.cast(t.column(right_key), key_type)
-        ts = pc.cast(t.column(right_ts), ts_type)
-        data: dict = {}
-        for n in left_names:
-            if n == left_key:
-                data[n] = key
-            elif n == left_ts:
-                data[n] = ts
-            else:
-                data[n] = pa.nulls(len(t), left_types[n])
-        for c in right_value_cols:
-            data[c] = t.column(c)
-        data[_BKT] = _bucket_col(key, n_buckets)
-        data[_SIDE] = pa.array(np.ones(len(t), bool))
-        return pa.table(data)
-
-    def resolve(t: pa.Table) -> pa.Table:
-        side = t.column(_SIDE).to_numpy(zero_copy_only=False)
-        rhs = t.filter(pa.array(side))
-        lhs = t.filter(pa.array(~side))
+    def resolve(lhs: pa.Table, rhs: pa.Table) -> pa.Table:
         n_l, n_r = len(lhs), len(rhs)
         if n_l == 0:
-            return _empty()
+            return lhs
         if n_r == 0:
-            if keep_unmatched:
-                # tag_left already carries null right columns
-                return pa.table({nm: lhs.column(nm) for nm in out_names})
-            return _empty()
-        keys = np.concatenate(
-            [
-                lhs.column(left_key).to_numpy(zero_copy_only=False),
-                rhs.column(left_key).to_numpy(zero_copy_only=False),
-            ]
-        )
-        codes, _ = pd.factorize(keys)  # grouping-only codes
+            # left rows already carry typed nulls for the right columns
+            return lhs if keep_unmatched else lhs.slice(0, 0)
+        codes = _key_codes(lhs, rhs, left_key)
         ts = np.concatenate(
             [
                 lhs.column(left_ts).to_numpy(zero_copy_only=False),
@@ -411,32 +349,23 @@ def bucketed_asof_join(
             valid = valid & ok_tol
         # map matched sorted positions back to original row indices
         s_orig = np.concatenate([np.arange(n_l), np.arange(n_r)])[order]
-        at_left = s_left
-        l_orig = s_orig[at_left]
-        l_match = filled[at_left]
-        l_valid = valid[at_left]
+        l_orig = s_orig[s_left]
+        l_match = filled[s_left]
+        l_valid = valid[s_left]
         if keep_unmatched:
-            hit = lhs.take(pa.array(l_orig))
-            data = {nm: hit.column(nm) for nm in left_names}
             midx = np.zeros(len(l_orig), np.int64)
             midx[l_valid] = s_orig[l_match[l_valid]]
             idx = pa.array(midx, mask=~l_valid)  # null index -> null value
-            for c in right_value_cols:
-                data[c] = pc.take(rhs.column(c), idx)
-            return pa.table(data)
-        if not l_valid.any():
-            return _empty()
+            return _take_right(lhs.take(pa.array(l_orig)), rhs, idx, right_value_cols)
         r_orig = s_orig[l_match[l_valid]]
-        hit = lhs.take(pa.array(l_orig[l_valid]))
-        data = {nm: hit.column(nm) for nm in left_names}
-        for c in right_value_cols:
-            data[c] = pc.take(rhs.column(c), pa.array(r_orig))
-        return pa.table(data)
+        return _take_right(
+            lhs.take(pa.array(l_orig[l_valid])), rhs, pa.array(r_orig), right_value_cols
+        )
 
-    both = left_ds.map_batches(tag_left, batch_format="pyarrow").union(
-        right_ds.map_batches(tag_right, batch_format="pyarrow")
+    return _bucketed_join(
+        left_ds, right_ds, left_key, right_key, right_value_cols, n_buckets, resolve,
+        ts=(left_ts, right_ts),
     )
-    return both.groupby(_BKT).map_groups(resolve, batch_format="pyarrow")
 
 
 def interval_overlap_self_join(

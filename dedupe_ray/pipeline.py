@@ -326,7 +326,10 @@ class RayDeduper:
             new.append((_clean_pair(pair, fields), False))
         self.labeled.extend(new)
         if self._learner is not None:
+            # one refit per call, so the next uncertain_pairs() query comes
+            # from a classifier that has seen these labels
             self._learner.labels.extend(new)
+            self._learner._fit()
 
     def train(self, recall: float = 1.0) -> None:
         if not self.labeled:

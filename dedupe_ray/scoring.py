@@ -9,12 +9,14 @@ pool: trained weights + field config load ONCE per actor in ``__init__``;
 The pair→record join (needed twice, once per pair side) has two strategies:
 
 - **broadcast** (default when the record table is small enough): the flat
-  record table is ``ray.put`` ONCE and every scorer actor builds a doc_id →
-  row-index hash map in ``__init__`` — the pairs stream through map_batches
-  with zero shuffle. This is the 100 TB-friendly path whenever the *record*
-  side fits in a node's object store (pairs may be arbitrarily large).
-- **shuffle join**: two ``Dataset.join`` hash joins on doc_id for record
-  tables too large to broadcast.
+  record table, sorted by doc_id, is ``ray.put`` ONCE and each stateless
+  assembler task looks pair ids up in it with ``np.searchsorted`` — the
+  pairs stream through map_batches with zero shuffle. This is the
+  100 TB-friendly path whenever the *record* side fits in a node's object
+  store (pairs may be arbitrarily large).
+- **bucketed join**: two :func:`dedupe_ray.joins.bucketed_lookup_join`
+  calls on doc_id (one per pair side) for record tables too large to
+  broadcast.
 """
 
 from __future__ import annotations
@@ -142,7 +144,6 @@ def assemble_pairs(
     fields: list[str],
     broadcast_limit: int = 2_000_000,
     batch_size: int = 4096,
-    concurrency=(1, 4),
     strict: bool = True,
 ) -> "ray.data.Dataset":
     """Join candidate pairs back to their records (both sides)."""

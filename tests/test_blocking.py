@@ -56,24 +56,6 @@ def test_invariant_under_repartitioning(small_corpus):
         assert got == base_set, f"pair set changed at {k} partitions"
 
 
-def test_singleton_filter_output_identical(small_corpus):
-    """The counting-bloom singleton prefilter must be invisible in the
-    output: pairs identical with it on and off (bloom false positives only
-    pass 1-member runs through, which emit nothing)."""
-    from dedupe_ray.blocking import candidate_pairs_raw, dedup_pairs
-
-    flat = _flat_records(small_corpus)
-    outs = []
-    for sfilt in (False, True, "recompute"):
-        raw = candidate_pairs_raw(
-            flat, PREDICATES, max_block_size=4096, singleton_filter=sfilt
-        )
-        outs.append(
-            {(r["id_a"], r["id_b"]) for r in dedup_pairs(raw).take_all()}
-        )
-    assert outs[0] == outs[1] == outs[2] and outs[0]
-
-
 def test_compound_piece_memo_matches_brute_force(small_corpus):
     """Predicate set with heavy shared-piece reuse across conjunctions (the
     memoized path) still matches the brute-force oracle exactly."""

@@ -12,7 +12,6 @@ from dedupe_ray.clustering import (
     cluster_component,
     cluster_edges,
     connected_components,
-    split_giant_components,
 )
 
 
@@ -136,26 +135,19 @@ def test_triple_confidence_formula():
 
 
 def test_giant_component_split():
-    # star of 50 weak edges + one strong pair, cap at 10
-    edges = pd.DataFrame(
-        {
-            "id_a": ["hub"] * 50 + ["p1"],
-            "id_b": [f"s{i:02d}" for i in range(50)] + ["p2"],
-            "score": [0.55] * 50 + [0.99],
-        }
-    )
-    uf_map = {}
-    uf = UnionFind()
-    for a, b in zip(edges["id_a"], edges["id_b"]):
-        uf.union(a, b)
-    uf_map = {n: uf.find(n) for n in uf.parent}
-    out = split_giant_components(edges, uf_map, max_size=10)
-    from collections import Counter
-
-    sizes = Counter(out.values())
-    assert max(sizes.values()) <= 10
-    # the strong pair survives as its own component
-    assert out["p1"] == out["p2"]
+    # star of 50 weak edges + one strong pair, cap at 10: the star is split
+    # by the giant-component splitter before HAC, the pair is untouched
+    edges = [("hub", f"s{i:02d}") for i in range(50)] + [("p1", "p2")]
+    scores = [0.55] * 50 + [0.99]
+    for kw in ({"cc_mode": "driver"}, {"driver_edge_limit": 0}):
+        out = cluster_edges(
+            _edges_ds(edges, scores), threshold=0.5, max_component_size=10, **kw
+        ).to_pandas()
+        sizes = out.groupby("cluster_id").size()
+        assert sizes.max() <= 10
+        cid = out.set_index("doc_id")["cluster_id"]
+        # the strong pair is clustered together
+        assert cid["p1"] == cid["p2"]
 
 
 def test_cluster_edges_end_to_end():

@@ -11,6 +11,7 @@ import pyarrow as pa
 import pytest
 
 import __ray_entry__ as entrymod
+from dedupe_ray.golden import golden_fixtures_available
 
 SF_DIR = "/root/testdata/sf0.01"
 
@@ -75,6 +76,11 @@ def test_query_matches_oracle(name, oracle):
 
 @pytest.mark.parametrize("name", [k for k in ALL_KEYS if k not in ORACLE_KEYS])
 def test_query_runs(name):
+    if name == "kna2_replay" and not golden_fixtures_available():
+        pytest.skip(
+            "kna2_replay reads the KNA2.xlsx reference fixture and its captured "
+            "golden response, which are not on disk (as in test_golden_replay.py)"
+        )
     df = _to_pandas(entrymod.queries()[name](SF_DIR))
     assert df is not None
     assert len(df.columns) > 0

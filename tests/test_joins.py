@@ -107,20 +107,22 @@ def test_assemble_pairs_shuffle_path_matches_broadcast():
 
 
 def test_cluster_edges_distributed_annotate_matches_driver():
+    """Both CC paths give identical membership and confidences, including
+    on a component over max_component_size (a 50-leaf weak star beside a
+    strong pair), which both paths split the same way before HAC."""
     from dedupe_ray.clustering import cluster_edges
 
-    edges = [("a", "b"), ("b", "c"), ("d", "e"), ("f", "g"), ("g", "h"), ("h", "f")]
-    scores = [0.9, 0.8, 0.95, 0.7, 0.85, 0.75]
-    a, b = zip(*edges)
-    ds = rd.from_arrow(
-        pa.table(
-            {
-                "id_a": pa.array(a, pa.string()),
-                "id_b": pa.array(b, pa.string()),
-                "score": pa.array(np.asarray(scores, np.float32)),
-            }
+    def edges_ds(edges, scores):
+        a, b = zip(*edges)
+        return rd.from_arrow(
+            pa.table(
+                {
+                    "id_a": pa.array(a, pa.string()),
+                    "id_b": pa.array(b, pa.string()),
+                    "score": pa.array(np.asarray(scores, np.float32)),
+                }
+            )
         )
-    )
 
     def groups(df):
         out = {}
@@ -130,10 +132,64 @@ def test_cluster_edges_distributed_annotate_matches_driver():
             )
         return out
 
-    drv = groups(cluster_edges(ds, threshold=0.5, cc_mode="driver").to_pandas())
-    # driver_edge_limit=0 forces the distributed CC + bucketed annotate join
-    dst = groups(cluster_edges(ds, threshold=0.5, driver_edge_limit=0).to_pandas())
-    assert drv == dst
+    small = (
+        [("a", "b"), ("b", "c"), ("d", "e"), ("f", "g"), ("g", "h"), ("h", "f")],
+        [0.9, 0.8, 0.95, 0.7, 0.85, 0.75],
+        {},
+    )
+    star = (
+        [("hub", f"s{i:02d}") for i in range(50)] + [("p1", "p2")],
+        [0.55] * 50 + [0.99],
+        {"max_component_size": 10},
+    )
+    for edges, scores, kw in (small, star):
+        ds = edges_ds(edges, scores)
+        drv = groups(cluster_edges(ds, threshold=0.5, cc_mode="driver", **kw).to_pandas())
+        # driver_edge_limit=0 forces the distributed CC + bucketed annotate join
+        dst = groups(cluster_edges(ds, threshold=0.5, driver_edge_limit=0, **kw).to_pandas())
+        assert drv == dst
+
+
+def test_join_inputs_run_their_upstream_once(tmp_path):
+    """Each join input's upstream plan runs once: the join reads no schema
+    from a lazy input (which would execute its plan an extra time)."""
+    import os
+    import uuid
+
+    import pyarrow.compute as pc
+
+    def counted(side):
+        def fn(batch: pa.Table) -> pa.Table:
+            open(os.path.join(tmp_path, f"{side}-{uuid.uuid4().hex}"), "w").close()
+            return batch
+
+        return fn
+
+    def calls(side):
+        return sum(name.startswith(side) for name in os.listdir(tmp_path))
+
+    left = (
+        rd.range(800, override_num_blocks=8)
+        .map_batches(counted("left"), batch_format="pyarrow", batch_size=None)
+        .groupby("id")
+        .map_groups(
+            lambda g: g.append_column("k", pc.cast(g.column("id"), pa.string())),
+            batch_format="pyarrow",
+        )
+    )
+    right = (
+        rd.range(800, override_num_blocks=4)
+        .map_batches(counted("right"), batch_format="pyarrow", batch_size=None)
+        .map_batches(
+            lambda t: pa.table(
+                {"k": pc.cast(t.column("id"), pa.string()), "v": t.column("id")}
+            ),
+            batch_format="pyarrow",
+        )
+    )
+    out = bucketed_lookup_join(left, right, "k", "k", ["v"]).to_pandas()
+    assert len(out) == 800 and (out["id"] == out["v"]).all()
+    assert (calls("left"), calls("right")) == (8, 4)
 
 
 def test_no_ray_hash_join_in_library():

@@ -130,6 +130,40 @@ def test_active_learner_protocol(small_corpus):
     assert n >= 15 and ys >= 2 and ns >= 2
 
 
+def test_mark_pairs_refits_the_active_learner(small_corpus):
+    """mark_pairs refits the learner once, so the next uncertain_pairs()
+    query comes from a classifier that has seen the new labels: the same
+    weights and the same next query as marking each pair through the
+    learner itself."""
+    import numpy as np
+
+    from dedupe_ray.config import EngineConfig
+    from dedupe_ray.learning import ActiveLearner
+    from dedupe_ray.pipeline import _clean_pair
+
+    docs, truth = small_corpus
+    pairs = labeled_pairs_from_truth(docs, truth, n_match=10, n_distinct=10)
+    cfg = EngineConfig.auto_detect(KNA_FIELDS)
+    fields = cfg.field_names()
+    labeled = [p for p in pairs if p[2] == "y"][:3] + [p for p in pairs if p[2] == "n"][:3]
+    pool = [_clean_pair((a, b), fields) for a, b, lbl in pairs if (a, b, lbl) not in labeled]
+
+    deduper = RayDeduper(cfg)
+    deduper._learner = ActiveLearner(cfg, list(pool))
+    deduper.mark_pairs(
+        {
+            "match": [(a, b) for a, b, lbl in labeled if lbl == "y"],
+            "distinct": [(a, b) for a, b, lbl in labeled if lbl == "n"],
+        }
+    )
+    reference = ActiveLearner(cfg, list(pool))
+    for pair, lbl in deduper.labeled:
+        reference.mark(pair, lbl)
+    assert deduper._learner._clf.weights is not None
+    np.testing.assert_array_equal(deduper._learner._clf.weights, reference._clf.weights)
+    assert deduper.uncertain_pairs() == reference.uncertain_pairs()
+
+
 def test_hard_negative_audit_mechanism(small_corpus):
     """The hard-negative generator produces truth-consistent frame-swap
     pairs and train() folds them in when enabled (default is 0 — measured
