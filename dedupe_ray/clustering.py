@@ -441,12 +441,10 @@ def _cluster_component_arrays(
         # centroid HAC is O(n²) memory / O(n³) time): drop the weakest
         # quartile of edges, re-component, recurse — mirrors [lib:
         # dedupe/clustering.py] max_components handling without
-        # materializing an n×n matrix
-        floor = float(np.quantile(sc, 0.25))
-        keep = sc > floor
-        if keep.all():  # degenerate (all scores equal): midpoint cut
-            floor = (float(sc.min()) + 1.0) / 2
-            keep = sc > floor
+        # materializing an n×n matrix. The minimum score is never kept, so
+        # when every edge has the same score nothing is kept and the
+        # component yields no cluster.
+        keep = sc > float(np.quantile(sc, 0.25))
         if not keep.any():
             return
         ka, kb, ks = ia[keep], ib[keep], sc[keep]

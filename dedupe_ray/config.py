@@ -90,15 +90,13 @@ class EngineConfig:
     similarity_threshold: float = 0.5  # dedupe_script.py:186 default
     max_training_rows: int = 400  # dedupe_script.py:193
     max_training_pairs: int = 100  # main.py:108
-    max_training_matches: int = 5  # main.py:106
-    max_training_distincts: int = 5  # main.py:107
-    recall_weight: float = 1.0  # dedupe_script.py:190
     sample_size: int = 1500  # [lib] prepare_training default
     blocked_proportion: float = 0.9  # [lib] prepare_training default
 
     # --- scale knobs (Ray-native; no reference equivalent) ---
-    # Blocks larger than this are capped: within-cap pairs are emitted from a
-    # deterministic (sorted doc_id) prefix plus salted cells; see blocking.py.
+    # Blocks larger than this emit no pairs, only one ``oversized`` marker row
+    # each (blocking.make_bucket_pair_emit_fn); candidate_pairs returns the
+    # markers next to the pairs so the dropped-block count is reported.
     max_block_size: int = 1024
     # Records-side broadcast join limit: below this row count the record table
     # is ray.put() once (shared-memory Arrow) and looked up map-side; above
@@ -124,14 +122,6 @@ class EngineConfig:
     # L2 regularization strength for the pairwise logistic classifier
     # (sklearn LogisticRegression C=1.0 equivalent: lambda = 1/C).
     l2_lambda: float = 1.0
-    # Hard-negative audit: number of synthetic name-frame-swap distinct
-    # pairs added at classifier fit time (0 disables). Measured at 2M docs
-    # (round 3): precision 0.9939 → 0.9892 with the audit ON — the
-    # negatives teach "name match alone is insufficient", shifting weight
-    # onto address agreement, but the residual extra-pair class SHARES
-    # postal+city, so it scores even higher. Default stays 0; the
-    # mechanism is kept for corpora where name-only collisions dominate.
-    hard_negative_audit: int = 0
     # Random seed for sampling stages.
     seed: int = 42
 

@@ -14,6 +14,8 @@ not available in this environment):
 - :class:`ActiveLearner` — uncertainty sampling over a blocked+random
   candidate pool, the ``uncertain_pairs()`` drain loop of
   backend/dedupe_script.py:295-311 [lib: dedupe/labeler.py RLRLearner].
+  It keeps the feature rows of the pool and of its labels: a label's row
+  is computed once, when it is marked, and each refit reuses the rows.
 
 All of this is deliberately driver-local: training pairs are ≤ a few hundred
 (max_training_pairs=100, backend/main.py:108) — distributing it would be pure
@@ -187,49 +189,18 @@ def _typo_audit_pairs(
     return out
 
 
-def hard_negative_pairs(
-    records: list[dict], fields: list[str], n: int, seed: int = 17
-) -> list[tuple[dict, dict]]:
-    """Synthetic NON-duplicate pairs of the hardest shape: identical on
-    every field except one multi-token field where a single content token
-    is replaced wholesale by a token from another record — the
-    "shared name frame + same postal/city, different coined middle word"
-    class. A ~100-pair labeled set almost never contains such a pair, so
-    without these the classifier gives the shared frame full credit
-    (affine-gap partial matches) and glues distinct entities. Fed as
-    distinct labels at classifier FIT time only (never into the predicate
-    cover, which uses match labels alone)."""
-    rng = np.random.RandomState(seed)
-    out: list[tuple[dict, dict]] = []
-    if len(records) < 2:
-        return out
-    for _ in range(n * 4):
-        if len(out) >= n:
-            break
-        a = records[rng.randint(len(records))]
-        c = records[rng.randint(len(records))]  # a REAL different entity
-        if c is a:
+def _greedy_pick(cost: dict[str, float], chosen: list[str], gain) -> str | None:
+    """One greedy set-cover step: the unchosen candidate with the best
+    ``gain(pid) / cost[pid]``, skipping zero gains; the first maximum in
+    ``cost`` order wins. None when no candidate gains anything."""
+    best_pid, best_score = None, 0.0
+    for pid in cost:
+        if pid in chosen:
             continue
-        multi = [f for f in fields if len((a.get(f) or "").split()) >= 2]
-        if not multi:
-            continue
-        f = multi[rng.randint(len(multi))]
-        toks = (a.get(f) or "").split()
-        dtoks = (c.get(f) or "").split() or ["x"]
-        i = rng.randint(1, len(toks))  # keep the first token (the stem)
-        new_tok = dtoks[rng.randint(len(dtoks))]
-        if new_tok == toks[i]:
-            continue
-        # b is the donor record wearing A's frame: A's multi-token field
-        # with ONE coined token swapped; donor keeps its own remaining
-        # fields (a real distinct entity's address/ids), so the pair is
-        # truth-consistent yet maximally name-similar
-        b = {g: c.get(g) or "" for g in fields}
-        btoks = list(toks)
-        btoks[i] = new_tok
-        b[f] = " ".join(btoks)
-        out.append(({g: a.get(g) or "" for g in fields}, b))
-    return out
+        g = gain(pid)
+        if g and g / cost[pid] > best_score:
+            best_pid, best_score = pid, g / cost[pid]
+    return best_pid
 
 
 def learn_predicates(
@@ -304,27 +275,25 @@ def learn_predicates(
     cover: dict[str, set[int]] = {}
     cost: dict[str, float] = {}
     reach: dict[str, set[str]] = {}
-    keysets: dict[str, list[tuple[set, set]]] = {}
-    useful: list[Predicate] = []
+    pool_by_id = {p.pid: p for p in pool}
     n_cost = max(len(cost_records), 1)
-    for pred in pool:
-        covered = set()
-        pair_keys = []
-        for i, (a, b) in enumerate(match_pairs):
-            ka, kb = set(pred.keys(a)), set(pred.keys(b))
-            pair_keys.append((ka, kb))
-            if ka & kb:
-                covered.add(i)
-        if not covered:
-            continue
+
+    def add_candidate(pred: Predicate, covered: set[int]) -> None:
         blocks = _coverage(pred, cost_records)
         c = sum(len(m) * (len(m) - 1) // 2 for m in blocks.values())
         reached = set().union(*blocks.values()) if blocks else set()
         cover[pred.pid] = covered
         cost[pred.pid] = (c + 1.0) / max((len(reached) / n_cost) ** 2, 1e-4)
         reach[pred.pid] = reached
-        keysets[pred.pid] = pair_keys
-        useful.append(pred)
+        pool_by_id[pred.pid] = pred
+
+    def covers(pred: Predicate, a: dict, b: dict) -> bool:
+        return bool(set(pred.keys(a)) & set(pred.keys(b)))
+
+    for pred in pool:
+        covered = {i for i, (a, b) in enumerate(match_pairs) if covers(pred, a, b)}
+        if covered:
+            add_candidate(pred, covered)
 
     # compound candidates: conjunctions of two useful simples on the same
     # pairs. The pool must NOT be only the cheapest simples: the predicates
@@ -347,30 +316,15 @@ def learn_predicates(
                 simple_ids.append(p)
         simple_ids = simple_ids[:28]
         for pa_, pb_ in combinations(simple_ids, 2):
-            covered = {
-                i
-                for i in cover[pa_] & cover[pb_]
-                if (keysets[pa_][i][0] & keysets[pa_][i][1])
-                and (keysets[pb_][i][0] & keysets[pb_][i][1])
-            }
-            if not covered:
-                continue
-            pid = f"{pa_}+{pb_}"
-            pred = Predicate.from_id(pid)
-            blocks = _coverage(pred, cost_records)
-            c = sum(len(m) * (len(m) - 1) // 2 for m in blocks.values())
-            reached = set().union(*blocks.values()) if blocks else set()
-            cover[pid] = covered
-            cost[pid] = (c + 1.0) / max((len(reached) / n_cost) ** 2, 1e-4)
-            reach[pid] = reached
+            # a pair shares a compound key iff it shares a key under each part
+            covered = cover[pa_] & cover[pb_]
+            if covered:
+                add_candidate(Predicate.from_id(f"{pa_}+{pb_}"), covered)
 
     total = len(match_pairs)
     target = int(np.ceil(recall * total))
     chosen: list[str] = []
     counts = np.zeros(total, np.int32)  # per-match coverage multiplicity
-
-    def n_covered(k: int) -> int:
-        return int((counts >= k).sum())
 
     # 3-cover greedy: first satisfy the recall target, then keep adding the
     # cheapest predicates until every labeled match is covered by ≥2, then
@@ -381,21 +335,14 @@ def learn_predicates(
     # AND changed street AND postal variant) are only reachable through
     # redundant, differently-shaped covers.
     for required in (1, 2, 3):
-        while n_covered(required) < target and len(chosen) < max_predicates:
-            best_pid, best_score = None, 0.0
-            for pid, cov in cover.items():
-                if pid in chosen:
-                    continue
-                gain = sum(1 for i in cov if counts[i] < required)
-                if gain == 0:
-                    continue
-                score = gain / cost[pid]
-                if score > best_score:
-                    best_pid, best_score = pid, score
-            if best_pid is None:
+        while int((counts >= required).sum()) < target and len(chosen) < max_predicates:
+            best = _greedy_pick(
+                cost, chosen, lambda pid: sum(1 for i in cover[pid] if counts[i] < required)
+            )
+            if best is None:
                 break
-            chosen.append(best_pid)
-            for i in cover[best_pid]:
+            chosen.append(best)
+            for i in cover[best]:
                 counts[i] += 1
     if not chosen:  # degenerate: fall back to whole-field on every field
         chosen = [f"whole|{f}" for f in config.field_names()]
@@ -408,66 +355,40 @@ def learn_predicates(
     # non-empty value) until < 0.2% of records are unreached.
     unreached = set(cost_records) - set().union(*(reach.get(p, set()) for p in chosen))
     extra_budget = 2
-    while (
-        len(unreached) / n_cost > 0.002
-        and extra_budget > 0
-    ):
-        best_pid, best_score = None, 0.0
-        for pid, r in reach.items():
-            if pid in chosen:
-                continue
-            gain = len(r & unreached)
-            if gain == 0:
-                continue
-            score = gain / cost[pid]
-            if score > best_score:
-                best_pid, best_score = pid, score
-        if best_pid is None:
+    while len(unreached) / n_cost > 0.002 and extra_budget > 0:
+        best = _greedy_pick(cost, chosen, lambda pid: len(reach[pid] & unreached))
+        if best is None:
             break
-        chosen.append(best_pid)
-        unreached -= reach[best_pid]
+        chosen.append(best)
+        unreached -= reach[best]
         extra_budget -= 1
 
     # typo-audit backstop: sample synthetic corruption pairs (generic typo
     # model, including multi-corruption combos the ~100 labels never show)
-    # and extend the cover until ≥99.75% of audit pairs share a block key.
-    # This is what catches the "transposed name AND replaced street" class
-    # at corpus scale — pair-level set cover over labels cannot see it.
+    # and, when more than 0.25% of them share no block key, extend the
+    # cover. This is what catches the "transposed name AND replaced street"
+    # class at corpus scale — pair-level set cover over labels cannot see it.
+    # Every pick is scored against the pairs uncovered before the first
+    # pick, not re-scored as the cover grows (every measured model was
+    # trained this way; re-scoring changes the learned predicates), so the
+    # backstop adds up to 5 predicates, ranked by how many of those pairs
+    # each covers per unit cost.
     audit_recs = list(cost_records.values())[:400]
     audit = _typo_audit_pairs(audit_recs, config.field_names(), n=800)
-    if audit:
-        pool_by_id = {p.pid: p for p in pool}
-
-        def pair_covered(pid: str, a: dict, b: dict) -> bool:
-            pred = pool_by_id.get(pid) or Predicate.from_id(pid)
-            return bool(set(pred.keys(a)) & set(pred.keys(b)))
-
-        uncovered = [
-            (a, b)
-            for a, b in audit
-            if not any(pair_covered(pid, a, b) for pid in chosen)
-        ]
-        audit_budget = 5
-        while len(uncovered) > 0.0025 * len(audit) and audit_budget > 0:
-            # candidates: every costed predicate (simple, compound, canopy)
-            best_pid, best_score, best_fix = None, 0.0, None
-            for pid in cost:
-                if pid in chosen:
-                    continue
-                fixed = [
-                    (a, b) for a, b in uncovered if pair_covered(pid, a, b)
-                ]
-                if not fixed:
-                    continue
-                score = len(fixed) / cost[pid]
-                if score > best_score:
-                    best_pid, best_score, best_fix = pid, score, fixed
-            if best_pid is None:
+    uncovered = [
+        (a, b) for a, b in audit
+        if not any(covers(pool_by_id[pid], a, b) for pid in chosen)
+    ]
+    if len(uncovered) > 0.0025 * len(audit):
+        # every costed predicate (simple, compound, canopy) is a candidate
+        fixes = {
+            pid: sum(covers(pool_by_id[pid], a, b) for a, b in uncovered) for pid in cost
+        }
+        for _ in range(5):
+            best = _greedy_pick(cost, chosen, fixes.get)
+            if best is None:
                 break
-            chosen.append(best_pid)
-            fixed_set = {id(p) for p in best_fix}
-            uncovered = [p for p in uncovered if id(p) not in fixed_set]
-            audit_budget -= 1
+            chosen.append(best)
 
     chosen_tables = {pid: index_tables[pid] for pid in chosen if pid in index_tables}
     return chosen, chosen_tables
@@ -506,7 +427,6 @@ class ActiveLearner:
 
     config: EngineConfig
     candidates: list[tuple[dict, dict]]
-    seed: int = 42
     labels: list[tuple[tuple[dict, dict], bool]] = dc_field(default_factory=list)
     # blocking provenance per candidate (which sampling predicate surfaced
     # it; "rand" for random pairs) — match-seeking queries stratify across
@@ -518,22 +438,34 @@ class ActiveLearner:
 
     def __post_init__(self) -> None:
         self._X = features_for_pairs(self.candidates, self.config, self.idf_tables)
+        # feature rows of ``labels``, in order: each label's row is computed
+        # once, when it is added, and every refit reads this matrix
+        self._label_X = features_for_pairs(
+            [p for p, _ in self.labels], self.config, self.idf_tables
+        )
         from dedupe_ray.features import monotone_feature_dims
 
         neg, pos = monotone_feature_dims(self.config)
         self._clf = LogisticClassifier(self.config.l2_lambda, monotone_dims=neg, positive_dims=pos)
-        self._rng = np.random.RandomState(self.seed)
         if self.provenance is None:
             self.provenance = ["rand"] * len(self.candidates)
         self._prov_groups = sorted(set(self.provenance))
         self._prov_i = 0
+        self._query_i = -1
 
-    def _fit(self) -> None:
+    def _add_labels(self, new: list[tuple[tuple[dict, dict], bool]]) -> None:
+        """Append labels with their feature rows (one feature call for the
+        batch), then refit once."""
+        if not new:
+            return
+        X = features_for_pairs([p for p, _ in new], self.config, self.idf_tables)
+        self.labels.extend(new)
+        # features_for_pairs([]) has one column, so the first rows replace it
+        self._label_X = np.concatenate([self._label_X, X]) if len(self._label_X) else X
         if len({lbl for _, lbl in self.labels}) < 2:
             return
-        X = features_for_pairs([p for p, _ in self.labels], self.config, self.idf_tables)
         y = np.array([1.0 if lbl else 0.0 for _, lbl in self.labels])
-        self._clf.fit(X, y)
+        self._clf.fit(self._label_X, y)
 
     def uncertain_pairs(self) -> list[tuple[dict, dict]]:
         """Pop the most informative candidate (reference drain loop,
@@ -559,7 +491,7 @@ class ActiveLearner:
         else:
             p = self._clf.predict_proba(self._X)
             targets = (0.5, 0.85, 0.15)
-            self._query_i = getattr(self, "_query_i", -1) + 1
+            self._query_i += 1
             t = targets[self._query_i % len(targets)]
             if t == 0.85 and self._prov_groups:
                 # stratified match query: restrict to one provenance group,
@@ -582,5 +514,4 @@ class ActiveLearner:
         return [pair]
 
     def mark(self, pair: tuple[dict, dict], is_match: bool) -> None:
-        self.labels.append((pair, is_match))
-        self._fit()
+        self._add_labels([(pair, is_match)])

@@ -200,14 +200,6 @@ class Gazetteer:
         return stream_ds.map_batches(_search, batch_format="pyarrow")
 
 
-def _pairs_table_local(pairs: list[tuple[dict, dict]], fields: list[str]) -> pa.Table:
-    data: dict[str, list] = {}
-    for side, k in (("a", 0), ("b", 1)):
-        for f in fields:
-            data[f"{side}_{f}"] = [p[k].get(f, "") for p in pairs]
-    return pa.table(data)
-
-
 def _prefix(ds: "ray.data.Dataset", prefix: str) -> "ray.data.Dataset":
     def _fn(t: pa.Table) -> pa.Table:
         i = t.schema.get_field_index("doc_id")

@@ -305,7 +305,6 @@ class RayDeduper:
         self._learner = ActiveLearner(
             self.config,
             candidates,
-            seed=cfg.seed,
             provenance=provenance,
             idf_tables=self.idf_tables,
         )
@@ -328,35 +327,15 @@ class RayDeduper:
         if self._learner is not None:
             # one refit per call, so the next uncertain_pairs() query comes
             # from a classifier that has seen these labels
-            self._learner.labels.extend(new)
-            self._learner._fit()
+            self._learner._add_labels(new)
 
     def train(self, recall: float = 1.0) -> None:
         if not self.labeled:
             raise ValueError("no labeled pairs; call mark_pairs first")
-        fit_pairs = [p for p, _ in self.labeled]
-        y_list = [1.0 if lbl else 0.0 for _, lbl in self.labeled]
-        if len(set(y_list)) < 2:
+        y = np.array([1.0 if lbl else 0.0 for _, lbl in self.labeled])
+        if len(set(y)) < 2:
             raise ValueError("need both match and distinct labels")
-        # hard-negative audit (learning.hard_negative_pairs): synthetic
-        # same-address different-coined-token distinct labels, fit-time only
-        # capped at the real label count so synthetic negatives can never
-        # outvote the human/oracle labels on a small label set
-        n_hard = min(
-            getattr(self.config, "hard_negative_audit", 0), len(self.labeled)
-        )
-        if n_hard and self._cost_records:
-            from dedupe_ray.learning import hard_negative_pairs
-
-            negs = hard_negative_pairs(
-                list(self._cost_records.values())[:400],
-                self.config.field_names(),
-                n_hard,
-            )
-            fit_pairs.extend(negs)
-            y_list.extend([0.0] * len(negs))
-        X = features_for_pairs(fit_pairs, self.config, self.idf_tables)
-        y = np.array(y_list)
+        X = features_for_pairs([p for p, _ in self.labeled], self.config, self.idf_tables)
         self.classifier.fit(X, y)
         match_pairs = [p for p, lbl in self.labeled if lbl]
         self.predicate_ids, self.index_tables = learn_predicates(
@@ -364,7 +343,7 @@ class RayDeduper:
             self._sample_records,
             self.config,
             recall=recall,
-            cost_records=getattr(self, "_cost_records", None),
+            cost_records=self._cost_records,
         )
 
     # ---- settings persistence ([lib] write_settings / StaticDedupe) -------

@@ -139,6 +139,9 @@ def test_giant_component_split():
     # by the giant-component splitter before HAC, the pair is untouched
     edges = [("hub", f"s{i:02d}") for i in range(50)] + [("p1", "p2")]
     scores = [0.55] * 50 + [0.99]
+    # an over-limit star whose edges all score the same: the splitter never
+    # keeps the minimum score, so it drops every edge and emits no cluster
+    flat_star = [("hub", f"s{i:02d}") for i in range(12)]
     for kw in ({"cc_mode": "driver"}, {"driver_edge_limit": 0}):
         out = cluster_edges(
             _edges_ds(edges, scores), threshold=0.5, max_component_size=10, **kw
@@ -148,6 +151,10 @@ def test_giant_component_split():
         cid = out.set_index("doc_id")["cluster_id"]
         # the strong pair is clustered together
         assert cid["p1"] == cid["p2"]
+        flat = cluster_edges(
+            _edges_ds(flat_star, [0.55] * 12), threshold=0.5, max_component_size=10, **kw
+        )
+        assert flat.count() == 0
 
 
 def test_cluster_edges_end_to_end():

@@ -164,20 +164,33 @@ def test_mark_pairs_refits_the_active_learner(small_corpus):
     assert deduper.uncertain_pairs() == reference.uncertain_pairs()
 
 
-def test_hard_negative_audit_mechanism(small_corpus):
-    """The hard-negative generator produces truth-consistent frame-swap
-    pairs and train() folds them in when enabled (default is 0 — measured
-    at 2M it LOWERS precision on this corpus family; see config.py)."""
-    from dedupe_ray.learning import hard_negative_pairs
+def test_active_learner_computes_each_label_feature_row_once(small_corpus, monkeypatch):
+    """mark() computes the new label's feature row only: N labels cost N
+    rows after the pool (not N(N+1)/2), and the stored rows equal one
+    batch call over every label."""
+    import numpy as np
+
+    from dedupe_ray import learning
+    from dedupe_ray.config import EngineConfig
+    from dedupe_ray.pipeline import _clean_pair
 
     docs, truth = small_corpus
-    recs = [
-        {"Name 1": f"vogel {w} sp. z o.o.", "City": "warsaw", "Postal Code": f"0{i}-100"}
-        for i, w in enumerate(["alfa", "beta", "gamma", "delta"])
-    ]
-    negs = hard_negative_pairs(recs, ["Name 1", "City", "Postal Code"], 10)
-    assert negs
-    for a, b in negs:
-        # same first name token (the frame stem), different full name
-        assert a["Name 1"].split()[0] == b["Name 1"].split()[0]
-        assert a["Name 1"] != b["Name 1"]
+    pairs = labeled_pairs_from_truth(docs, truth, n_match=10, n_distinct=10)
+    cfg = EngineConfig.auto_detect(KNA_FIELDS)
+    fields = cfg.field_names()
+    labels = [(_clean_pair((a, b), fields), lbl == "y") for a, b, lbl in pairs]
+    real = learning.features_for_pairs
+    rows: list[int] = []
+
+    def counting(pairs, *args, **kwargs):
+        rows.append(len(pairs))
+        return real(pairs, *args, **kwargs)
+
+    monkeypatch.setattr(learning, "features_for_pairs", counting)
+    learner = learning.ActiveLearner(cfg, [p for p, _ in labels])
+    rows.clear()
+    for pair, lbl in labels:
+        learner.mark(pair, lbl)
+    assert learner._clf.weights is not None
+    assert sum(rows) <= len(labels)
+    np.testing.assert_array_equal(learner._label_X, real([p for p, _ in labels], cfg))
